@@ -930,7 +930,6 @@ fn bench_serve(quick: bool) -> Vec<ServeRow> {
         let opts = MicroBatchOptions {
             queue_slots: 64,
             max_batch: 32,
-            deadline_ns: 200_000,
         };
         let spec = LoadSpec {
             requests: load_requests,

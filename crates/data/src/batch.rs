@@ -75,6 +75,16 @@ impl Batch {
         self.num_pairs = num_pairs;
     }
 
+    /// Grows capacity to hold `rows` examples of the given shape, so
+    /// assembling up to that many rows with [`Batch::push_row`] never
+    /// touches the heap.
+    pub fn reserve(&mut self, rows: usize, num_fields: usize, num_pairs: usize) {
+        self.begin(num_fields, num_pairs);
+        self.fields.reserve(rows * num_fields);
+        self.cross.reserve(rows * num_pairs);
+        self.labels.reserve(rows);
+    }
+
     /// Appends one example. `cross` may be empty (a cross-free batch) or
     /// exactly `num_pairs` long; mixing the two within a batch panics on
     /// the next consumer shape check.

@@ -14,14 +14,11 @@
 //! Everything is preallocated in [`bounded`]: a `VecDeque` ring of
 //! `capacity` slots that can never grow, because senders block while it
 //! is full. Semantics mirror the `std::sync::mpsc` subset the repo uses:
-//! single producer, single consumer, `send`/`recv`/`recv_timeout`, and
+//! single producer, single consumer, `send`/`recv`/`try_recv`, and
 //! hang-free disconnect in both directions when either handle drops.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
-// lint: allow(wall-clock, reason="recv_timeout measures elapsed real time by definition; never used on training paths")
-use std::time::Instant;
 
 /// Error returned by [`Sender::send`] when the receiver is gone; carries
 /// the unsent value back like `std::sync::mpsc::SendError`.
@@ -33,11 +30,11 @@ pub struct SendError<T>(pub T);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecvError;
 
-/// Error returned by [`Receiver::recv_timeout`].
+/// Error returned by [`Receiver::try_recv`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvTimeoutError {
-    /// The timeout elapsed with the channel still empty.
-    Timeout,
+pub enum TryRecvError {
+    /// The channel is empty but the sender is still alive.
+    Empty,
     /// The channel is empty and the sender is gone.
     Disconnected,
 }
@@ -146,29 +143,17 @@ impl<T> Receiver<T> {
         }
     }
 
-    /// [`recv`](Self::recv) with an upper bound on the wait. Spurious
-    /// condvar wakeups re-arm with the remaining time, so the total wait
-    /// never exceeds `timeout` by more than scheduling noise.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        // lint: allow(wall-clock, reason="timeout bookkeeping for a blocking wait; not observable by any training computation")
-        let start = Instant::now();
+    /// Takes the next value if one is queued, without waiting.
+    pub fn try_recv(&self) -> Result<T, TryRecvError> {
         let mut st = lock(&self.0.state);
-        loop {
-            if let Some(v) = st.queue.pop_front() {
-                self.0.not_full.notify_one();
-                return Ok(v);
-            }
-            if !st.sender_alive {
-                return Err(RecvTimeoutError::Disconnected);
-            }
-            let elapsed = start.elapsed();
-            let Some(remaining) = timeout.checked_sub(elapsed) else {
-                return Err(RecvTimeoutError::Timeout);
-            };
-            st = match self.0.not_empty.wait_timeout(st, remaining) {
-                Ok((g, _)) => g,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
+        if let Some(v) = st.queue.pop_front() {
+            self.0.not_full.notify_one();
+            return Ok(v);
+        }
+        if st.sender_alive {
+            Err(TryRecvError::Empty)
+        } else {
+            Err(TryRecvError::Disconnected)
         }
     }
 }
@@ -220,19 +205,16 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout_times_out_on_an_empty_channel() {
+    fn try_recv_never_waits() {
         let (tx, rx) = bounded::<u32>(1);
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(1)),
-            Err(RecvTimeoutError::Timeout)
-        );
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
         tx.send(9).expect("send");
-        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(9));
+        assert_eq!(rx.try_recv(), Ok(9));
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        tx.send(10).expect("send");
         drop(tx);
-        assert_eq!(
-            rx.recv_timeout(Duration::from_secs(5)),
-            Err(RecvTimeoutError::Disconnected)
-        );
+        assert_eq!(rx.try_recv(), Ok(10));
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
     }
 
     #[test]

@@ -144,6 +144,28 @@ impl Mlp {
         self.output.forward_into(last, out);
     }
 
+    /// Sizes every forward scratch buffer for batches of up to `rows` rows,
+    /// so that afterwards [`forward_into`](Self::forward_into) on any batch
+    /// of at most `rows` rows, in any order of sizes, allocates nothing.
+    ///
+    /// One forward at `rows` grows the LayerNorm caches, the kernels'
+    /// per-thread packing scratch (on every pool thread a smaller batch
+    /// could use) and the workspace to its full buffer count; each of
+    /// those buffers is then grown to fit the widest layer, because the
+    /// workspace may hand any buffer to any layer. Drops held
+    /// activations: call it before a forward, never between a forward and
+    /// its backward.
+    pub fn reserve_rows(&mut self, rows: usize) {
+        let x = Matrix::zeros(rows, self.input_dim);
+        let mut out = Matrix::zeros(0, 0);
+        self.forward_into(&x, &mut out);
+        for a in self.acts.drain(..) {
+            self.ws.recycle(a);
+        }
+        let widest = self.blocks.iter().map(|b| b.dense.out_dim()).max();
+        self.ws.reserve_each(rows * widest.unwrap_or(0));
+    }
+
     /// Backward pass from `grad_out` into `dx` (reshaped to `[B,
     /// input_dim]`), accumulating parameter gradients. `x` must be the same
     /// input the matching [`forward_into`](Self::forward_into) saw; the

@@ -61,6 +61,15 @@ impl Workspace {
         self.free.push(m);
     }
 
+    /// Grows every free buffer to hold at least `len` elements, so any
+    /// later [`take`](Self::take) of at most `len` elements is served
+    /// without touching the heap while the free list is non-empty.
+    pub fn reserve_each(&mut self, len: usize) {
+        for m in &mut self.free {
+            m.reserve_total(len);
+        }
+    }
+
     /// Number of buffers currently sitting in the free list.
     pub fn free_buffers(&self) -> usize {
         self.free.len()

@@ -1,6 +1,6 @@
 //! Time sources for the micro-batching front door.
 //!
-//! Deadline flushing needs a monotonic "now", but wall-clock reads are
+//! Latency timestamps need a monotonic "now", but wall-clock reads are
 //! banned outside the bench crate (DESIGN.md §7) because they make runs
 //! irreproducible. The compromise: all serving code takes a [`Clock`]
 //! trait object-free generic, tests and proptests drive a [`ManualClock`]
@@ -9,7 +9,7 @@
 //! module.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-// lint: allow(wall-clock, reason="MonotonicClock is the one sanctioned real-time source for serving deadlines; everything else uses ManualClock")
+// lint: allow(wall-clock, reason="MonotonicClock is the one sanctioned real-time source for serving timestamps; everything else uses ManualClock")
 use std::time::Instant;
 
 /// Monotonic nanosecond clock. Implementations must never go backwards.
@@ -51,7 +51,7 @@ impl Clock for ManualClock {
 /// Real monotonic time, measured from construction.
 #[derive(Debug)]
 pub struct MonotonicClock {
-    // lint: allow(wall-clock, reason="the serving deadline needs real elapsed time; confined here so every other serve module stays deterministic")
+    // lint: allow(wall-clock, reason="serving latency needs real elapsed time; confined here so every other serve module stays deterministic")
     origin: Instant,
 }
 

@@ -11,7 +11,8 @@
 //!   scorer: it replays the training forward pass bit-for-bit over the
 //!   frozen arenas (parity proved by `tests/serve_parity.rs`).
 //! - [`serve`] is the micro-batching front door: a bounded request queue
-//!   with deadline flush on the prefetch ring idiom, driven by the
+//!   on the prefetch ring idiom that flushes as soon as the scorer is
+//!   free, batching whatever queued while it was busy; driven by the
 //!   Zipf-hot open-loop load generator in [`loadgen`].
 
 #![forbid(unsafe_code)]
@@ -29,6 +30,6 @@ pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use freeze::{freeze, freeze_gated, hot_first_row_map, FreezeError};
 pub use loadgen::{run_zipf_load, LatencySummary, LoadReport, LoadSpec};
 pub use microbatch::{
-    serve, simulate, BatchPolicy, MicroBatchOptions, Response, SimResponse, Submitter,
+    serve, simulate, MicroBatchOptions, Response, ServeStats, SimResponse, Submitter,
 };
 pub use scorer::{FrozenScorer, ScoreError};

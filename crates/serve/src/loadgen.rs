@@ -9,7 +9,7 @@
 //! only at the bounded queue), with `0` it saturates.
 
 use crate::clock::Clock;
-use crate::microbatch::{serve, MicroBatchOptions};
+use crate::microbatch::{serve, MicroBatchOptions, ServeStats};
 use crate::scorer::FrozenScorer;
 use optinter_data::zipf::Zipf;
 use optinter_data::EncodedDataset;
@@ -40,6 +40,8 @@ pub struct LoadReport {
     pub first_submit_ns: u64,
     /// Latest completion timestamp.
     pub last_done_ns: u64,
+    /// The front door's own counters.
+    pub stats: ServeStats,
 }
 
 /// Latency percentiles + throughput, the numbers
@@ -98,7 +100,7 @@ pub fn run_zipf_load<C: Clock>(
     let mut latencies = Vec::with_capacity(spec.requests);
     let mut first_submit = u64::MAX;
     let mut last_done = 0u64;
-    serve(
+    let stats = serve(
         scorer,
         clock,
         opts,
@@ -126,5 +128,6 @@ pub fn run_zipf_load<C: Clock>(
         latencies_ns: latencies,
         first_submit_ns: first_submit,
         last_done_ns: last_done,
+        stats,
     }
 }

@@ -1,31 +1,34 @@
-//! Micro-batching front door: a bounded request queue with deadline
-//! flush, built on the `optinter_data::prefetch` ring idiom.
+//! Micro-batching front door: a bounded request queue with
+//! work-conserving flush, built on the `optinter_data::prefetch` ring
+//! idiom.
 //!
 //! Ownership protocol (mirrors `BatchStream`): request buffers are owned
 //! by exactly one holder at a time and cycle submitter → full queue →
 //! batcher → free list → submitter over two bounded
 //! [`optinter_data::channel`]s (preallocated; unlike `std::sync::mpsc`
 //! they never allocate even when a side blocks). The free list's bound
-//! equals the total buffer count, so returning a buffer never blocks; at
-//! steady state no request touches the heap (proved by
-//! `tests/alloc_steady_state.rs`).
+//! equals the total buffer count, so returning a buffer never blocks.
+//! Before the first request, every request buffer is sized for one
+//! request and the gather batch, the probability buffer and the scorer's
+//! scratch for `max_batch` rows, so no batch composition touches the heap
+//! (proved by `tests/alloc_steady_state.rs`).
 //!
-//! Deadline semantics: a batch flushes the moment it holds
-//! [`BatchPolicy::max_batch`] requests, or when the *oldest* request in
-//! it has waited [`BatchPolicy::deadline_ns`], whichever comes first.
-//! Dropping the submitter drains everything in flight and flushes the
-//! remainder immediately; thread panics propagate out of [`serve`] via
-//! `std::thread::scope` (nothing hangs).
+//! Flush policy: the batcher waits only while the queue is empty. Once it
+//! holds a request it takes whatever else is already queued, up to
+//! [`MicroBatchOptions::max_batch`], without waiting, and scores at once.
+//! Batches therefore grow only while the scorer is busy — requests that
+//! arrive during one flush form the next — and a request never waits on
+//! an idle scorer. Dropping the submitter drains everything in flight;
+//! thread panics propagate out of [`serve`] via `std::thread::scope`
+//! (nothing hangs).
 //!
-//! The flush decision lives in [`BatchPolicy`] and is exercised two ways:
-//! deterministically by [`simulate`] (driven by the proptests with a
-//! manual clock) and for real by [`serve`].
+//! [`simulate`] models the same policy deterministically (a fixed service
+//! time per batch) for the proptests; [`serve`] runs it for real.
 
 use crate::clock::Clock;
 use crate::scorer::FrozenScorer;
-use optinter_data::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use optinter_data::channel::{bounded, Receiver, Sender};
 use optinter_data::Batch;
-use std::time::Duration;
 
 /// Tuning knobs for the front door.
 #[derive(Debug, Clone)]
@@ -33,10 +36,8 @@ pub struct MicroBatchOptions {
     /// Bound of the full-request queue (in-flight requests beyond the
     /// batch being assembled). Submitters block when it is full.
     pub queue_slots: usize,
-    /// Flush as soon as a batch holds this many requests.
+    /// Most requests one flush scores together.
     pub max_batch: usize,
-    /// Flush when the oldest pending request has waited this long.
-    pub deadline_ns: u64,
 }
 
 impl Default for MicroBatchOptions {
@@ -44,42 +45,22 @@ impl Default for MicroBatchOptions {
         Self {
             queue_slots: 32,
             max_batch: 32,
-            deadline_ns: 200_000,
         }
     }
 }
 
-impl MicroBatchOptions {
-    fn policy(&self) -> BatchPolicy {
-        BatchPolicy {
-            max_batch: self.max_batch.max(1),
-            deadline_ns: self.deadline_ns,
-        }
-    }
-}
-
-/// The flush decision, shared by the live batcher and the proptest
-/// simulator.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchPolicy {
-    /// Flush as soon as a batch holds this many requests.
-    pub max_batch: usize,
-    /// Flush when the oldest pending request has waited this long.
-    pub deadline_ns: u64,
-}
-
-impl BatchPolicy {
-    /// Absolute flush deadline for a batch whose oldest request was
-    /// submitted at `first_submit_ns`.
-    pub fn deadline_for(&self, first_submit_ns: u64) -> u64 {
-        first_submit_ns.saturating_add(self.deadline_ns)
-    }
-
-    /// Whether a batch of `pending` requests (oldest submitted at
-    /// `first_submit_ns`) must flush at time `now_ns`.
-    pub fn should_flush(&self, pending: usize, first_submit_ns: u64, now_ns: u64) -> bool {
-        pending >= self.max_batch || (pending > 0 && now_ns >= self.deadline_for(first_submit_ns))
-    }
+/// What the front door did over one [`serve`] call, counted on the
+/// batcher thread.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServeStats {
+    /// Batches scored.
+    pub flushes: u64,
+    /// Requests answered.
+    pub rows: u64,
+    /// Batches that held `max_batch` requests.
+    pub full_flushes: u64,
+    /// Requests answered NaN because the scorer rejected them.
+    pub nan_rows: u64,
 }
 
 /// One in-flight scoring request (a recycled buffer).
@@ -96,12 +77,12 @@ pub struct Request {
 }
 
 impl Request {
-    fn empty() -> Self {
+    fn with_shape(num_fields: usize, num_pairs: usize) -> Self {
         Self {
             id: 0,
             submit_ns: 0,
-            fields: Vec::new(),
-            cross: Vec::new(),
+            fields: Vec::with_capacity(num_fields),
+            cross: Vec::with_capacity(num_pairs),
         }
     }
 }
@@ -186,34 +167,41 @@ pub fn serve<C, G, F>(
     opts: &MicroBatchOptions,
     client: G,
     mut on_response: F,
-) where
+) -> ServeStats
+where
     C: Clock,
     G: FnOnce(Submitter<'_, C>) + Send,
     F: FnMut(Response),
 {
-    let policy = opts.policy();
+    let max_batch = opts.max_batch.max(1);
     let queue_slots = opts.queue_slots.max(1);
     // Total pool: everything the queue and an assembling batch can hold,
     // one in the submitter's hand, one in flight through a channel.
-    let num_buffers = queue_slots + policy.max_batch + 2;
+    let num_buffers = queue_slots + max_batch + 2;
     let (full_tx, full_rx) = bounded::<Request>(queue_slots);
     // Bounded at the pool size so returning a buffer never blocks (and,
     // per the preallocated ring, never allocates).
     let (free_tx, free_rx) = bounded::<Request>(num_buffers);
-    let mut fresh = Vec::with_capacity(num_buffers);
-    for _ in 0..num_buffers {
-        fresh.push(Request::empty());
-    }
 
     let num_fields = scorer.dims().num_fields;
     let num_pairs = scorer.dims().num_pairs;
     let requires_cross = scorer.requires_cross();
-    let mut pending: Vec<Request> = Vec::with_capacity(policy.max_batch);
+    let mut fresh = Vec::with_capacity(num_buffers);
+    for _ in 0..num_buffers {
+        fresh.push(Request::with_shape(num_fields, num_pairs));
+    }
+    // Size every batch-shaped buffer for `max_batch` rows up front, so no
+    // batch composition allocates later.
+    scorer.reserve(max_batch);
+    let mut pending: Vec<Request> = Vec::with_capacity(max_batch);
     let mut batch = Batch::empty();
-    let mut probs: Vec<f32> = Vec::new();
+    batch.reserve(max_batch, num_fields, num_pairs);
+    let mut probs: Vec<f32> = Vec::with_capacity(max_batch);
     // Degraded-path scratch: only touched when a batch fails validation.
     let mut single = Batch::empty();
-    let mut one: Vec<f32> = Vec::new();
+    single.reserve(1, num_fields, num_pairs);
+    let mut one: Vec<f32> = Vec::with_capacity(1);
+    let mut stats = ServeStats::default();
 
     std::thread::scope(|s| {
         s.spawn(move || {
@@ -228,25 +216,19 @@ pub fn serve<C, G, F>(
             });
         });
 
-        loop {
-            if pending.is_empty() {
-                match full_rx.recv() {
+        // Block only on an empty queue; then take what is already queued.
+        while let Ok(first) = full_rx.recv() {
+            pending.push(first);
+            while pending.len() < max_batch {
+                match full_rx.try_recv() {
                     Ok(r) => pending.push(r),
-                    Err(_) => break, // submitter gone, everything drained
+                    Err(_) => break, // empty, or submitter gone: flush
                 }
             }
-            // Top the batch up until it is full or the oldest request's
-            // deadline arrives.
-            let deadline = policy.deadline_for(pending[0].submit_ns);
-            while !policy.should_flush(pending.len(), pending[0].submit_ns, clock.now_ns()) {
-                let wait = deadline.saturating_sub(clock.now_ns());
-                match full_rx.recv_timeout(Duration::from_nanos(wait)) {
-                    Ok(r) => pending.push(r),
-                    Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => break, // flush the tail
-                }
-            }
-            flush_into(
+            stats.flushes += 1;
+            stats.rows += pending.len() as u64;
+            stats.full_flushes += u64::from(pending.len() == max_batch);
+            stats.nan_rows += flush_into(
                 scorer,
                 clock,
                 &mut pending,
@@ -260,10 +242,12 @@ pub fn serve<C, G, F>(
             );
         }
     });
+    stats
 }
 
 /// Scores the pending batch, emits its responses in order, and recycles
-/// the request buffers. Allocation-free at steady state.
+/// the request buffers; returns how many requests answered NaN.
+/// Allocation-free once [`serve`] has sized its buffers.
 ///
 /// When the batch is rejected with a typed `ScoreError` (an id outside
 /// the frozen key space — `submit` validates arity but not id ranges),
@@ -282,10 +266,8 @@ fn flush_into<C: Clock, F: FnMut(Response)>(
     num_pairs: usize,
     free_tx: &Sender<Request>,
     on_response: &mut F,
-) {
-    if pending.is_empty() {
-        return;
-    }
+) -> u64 {
+    let mut nan_rows = 0;
     batch.begin(num_fields, num_pairs);
     for req in pending.iter() {
         batch.push_row(&req.fields, &req.cross, 0.0);
@@ -297,7 +279,10 @@ fn flush_into<C: Clock, F: FnMut(Response)>(
             single.push_row(&req.fields, &req.cross, 0.0);
             let prob = match scorer.score_into(single, one) {
                 Ok(()) => one.first().copied().unwrap_or(f32::NAN),
-                Err(_) => f32::NAN,
+                Err(_) => {
+                    nan_rows += 1;
+                    f32::NAN
+                }
             };
             probs.push(prob);
         }
@@ -316,6 +301,7 @@ fn flush_into<C: Clock, F: FnMut(Response)>(
         // never blocks; a send error just means the submitter is gone.
         let _ = free_tx.send(req);
     }
+    nan_rows
 }
 
 /// One response from the deterministic simulator.
@@ -325,77 +311,47 @@ pub struct SimResponse {
     pub id: u64,
     /// Simulated submission time.
     pub submit_ns: u64,
-    /// Simulated flush time.
+    /// Simulated time its batch finished scoring.
     pub done_ns: u64,
 }
 
-/// Deterministic, single-threaded model of the batcher: same
-/// [`BatchPolicy`], manual time. Request `i` arrives `gaps[i]`
-/// nanoseconds after request `i-1`. Returns every response plus the
-/// flushed batch sizes — the proptests check the queue invariants
-/// (no loss, no duplication, no reordering, bounded wait) against this.
-pub fn simulate(policy: &BatchPolicy, gaps: &[u64]) -> (Vec<SimResponse>, Vec<usize>) {
-    let max_batch = policy.max_batch.max(1);
+/// Deterministic, single-threaded model of the batcher under the same
+/// work-conserving policy, with every batch taking `service_ns` to score
+/// whatever its size. Request `i` arrives `gaps[i]` nanoseconds after
+/// request `i-1`. A batch starts when the batcher is free and holds a
+/// request — at the later of its first arrival and the previous batch's
+/// end — and takes every request that has arrived by then, up to
+/// `max_batch`; requests arriving during service queue for the next
+/// batch. Returns every response plus the batch sizes, against which the
+/// proptests check the queue invariants (no loss, no duplication, no
+/// reordering, no waiting on an idle batcher).
+pub fn simulate(max_batch: usize, service_ns: u64, gaps: &[u64]) -> (Vec<SimResponse>, Vec<usize>) {
+    let max_batch = max_batch.max(1);
+    let mut submit = Vec::with_capacity(gaps.len());
     let mut now = 0u64;
-    let mut waiting: Vec<(u64, u64)> = Vec::new(); // (id, submit_ns) FIFO
+    for &gap in gaps {
+        now = now.saturating_add(gap);
+        submit.push(now);
+    }
     let mut responses = Vec::with_capacity(gaps.len());
     let mut batch_sizes = Vec::new();
-
-    fn flush(
-        waiting: &mut Vec<(u64, u64)>,
-        max_batch: usize,
-        at: u64,
-        responses: &mut Vec<SimResponse>,
-        batch_sizes: &mut Vec<usize>,
-    ) {
-        let n = waiting.len().min(max_batch);
-        batch_sizes.push(n);
-        for (id, submit_ns) in waiting.drain(..n) {
+    let mut free_at = 0u64;
+    let mut next = 0usize;
+    while next < submit.len() {
+        let start = submit[next].max(free_at);
+        let end = (next + max_batch).min(submit.len());
+        let taken = submit[next..end].partition_point(|&t| t <= start);
+        let done_ns = start.saturating_add(service_ns);
+        for (id, &submit_ns) in (next..).zip(&submit[next..next + taken]) {
             responses.push(SimResponse {
-                id,
+                id: id as u64,
                 submit_ns,
-                done_ns: at,
+                done_ns,
             });
         }
-    }
-
-    for (i, &gap) in gaps.iter().enumerate() {
-        now = now.saturating_add(gap);
-        // Deadline flushes that came due while we waited for this arrival
-        // fire at their deadline, not at the arrival time.
-        while let Some(&(_, first)) = waiting.first() {
-            let dl = policy.deadline_for(first);
-            if dl > now {
-                break;
-            }
-            flush(
-                &mut waiting,
-                max_batch,
-                dl,
-                &mut responses,
-                &mut batch_sizes,
-            );
-        }
-        waiting.push((i as u64, now));
-        if waiting.len() >= max_batch {
-            flush(
-                &mut waiting,
-                max_batch,
-                now,
-                &mut responses,
-                &mut batch_sizes,
-            );
-        }
-    }
-    // Shutdown: drain everything still in flight immediately.
-    while !waiting.is_empty() {
-        flush(
-            &mut waiting,
-            max_batch,
-            now,
-            &mut responses,
-            &mut batch_sizes,
-        );
+        batch_sizes.push(taken);
+        free_at = done_ns;
+        next += taken;
     }
     (responses, batch_sizes)
 }

@@ -435,6 +435,23 @@ impl FrozenScorer {
         self.layout.num_memorized > 0
     }
 
+    /// Sizes all scoring scratch for batches of up to `rows` rows, so that
+    /// afterwards [`score_into`](Self::score_into) on any batch of at most
+    /// `rows` rows, in any order of sizes, allocates nothing. The
+    /// micro-batch front door calls it once with `max_batch` before its
+    /// first request.
+    pub fn reserve(&mut self, rows: usize) {
+        let m = self.dims.num_fields;
+        let k = self.layout.num_memorized;
+        self.eo.reserve_total(rows * m * self.orig_dim);
+        self.em.reserve_total(rows * k * self.cross_dim);
+        self.input.reserve_total(rows * self.layout.input_dim);
+        self.logits.reserve_total(rows);
+        self.mem_ids.clear();
+        self.mem_ids.reserve(rows * k);
+        self.mlp.reserve_rows(rows);
+    }
+
     /// Scores a batch of requests into `out` (cleared first): `out[i]` is
     /// the predicted click probability of row `i`. Labels in `batch` are
     /// ignored. Allocation-free at steady state.

@@ -1,21 +1,23 @@
 //! Micro-batch queue invariants.
 //!
 //! Property tests drive [`optinter_serve::simulate`] — the deterministic
-//! single-threaded model sharing [`BatchPolicy`] with the live batcher —
-//! over arbitrary arrival/deadline/capacity sequences: no request is
-//! ever lost, duplicated, or reordered, batches respect `max_batch`, and
-//! no request waits past its deadline (except the shutdown drain, which
-//! flushes immediately). Threaded tests then check the live [`serve`]
-//! loop: ordered delivery, clean mid-flight drain on submitter drop, and
-//! panic propagation out of the scope (nothing hangs).
+//! single-threaded model of the live batcher's work-conserving policy —
+//! over arbitrary arrival sequences, service times and capacities: no
+//! request is ever lost, duplicated, or reordered, batches respect
+//! `max_batch`, and no request waits while the batcher is idle. Threaded
+//! tests then check the live [`serve`] loop: ordered delivery, full
+//! batches out of a backlog, clean mid-flight drain on submitter drop,
+//! and panic propagation out of the scope (nothing hangs).
 
 use optinter_core::net::DataDims;
 use optinter_core::{Architecture, Method, OptInterConfig, OptInterNet};
 use optinter_data::{DatasetBundle, Profile};
 use optinter_serve::{
-    freeze, serve, simulate, BatchPolicy, FrozenScorer, ManualClock, MicroBatchOptions, Quant,
+    freeze, serve, simulate, Clock, FrozenScorer, ManualClock, MicroBatchOptions, MonotonicClock,
+    Quant, ServeStats,
 };
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -24,10 +26,9 @@ proptest! {
     fn simulated_queue_never_loses_duplicates_or_reorders(
         gaps in proptest::collection::vec(0u64..200_000, 0..200),
         max_batch in 1usize..16,
-        deadline_ns in 0u64..100_000,
+        service_ns in 0u64..100_000,
     ) {
-        let policy = BatchPolicy { max_batch, deadline_ns };
-        let (responses, batch_sizes) = simulate(&policy, &gaps);
+        let (responses, batch_sizes) = simulate(max_batch, service_ns, &gaps);
 
         // Exactly one response per request, in submission order.
         prop_assert_eq!(responses.len(), gaps.len());
@@ -44,30 +45,39 @@ proptest! {
         }
         prop_assert_eq!(total, gaps.len());
 
-        // Nothing waits past its deadline, completion time is monotone,
-        // and causality holds (done >= submit).
-        let mut last_done = 0u64;
-        for r in &responses {
-            prop_assert!(r.done_ns >= r.submit_ns);
-            prop_assert!(
-                r.done_ns <= policy.deadline_for(r.submit_ns),
-                "request {} flushed after its deadline", r.id
-            );
-            prop_assert!(r.done_ns >= last_done);
-            last_done = r.done_ns;
+        // No request waits while the batcher is idle: each batch starts at
+        // the later of its first arrival and the previous batch's end, and
+        // takes exactly the requests queued by then (up to max_batch).
+        let mut prev_done = 0u64;
+        let mut first = 0usize;
+        for &n in &batch_sizes {
+            let batch = &responses[first..first + n];
+            let start = batch[0].submit_ns.max(prev_done);
+            for r in batch {
+                prop_assert!(r.submit_ns <= start, "request {} scored before it arrived", r.id);
+                prop_assert_eq!(r.done_ns, start + service_ns);
+            }
+            if let Some(next) = responses.get(first + n) {
+                prop_assert!(
+                    n == max_batch || next.submit_ns > start,
+                    "request {} was queued at a flush but left behind", next.id
+                );
+            }
+            prev_done = start + service_ns;
+            first += n;
         }
     }
 
     #[test]
-    fn saturating_arrivals_always_fill_batches(
+    fn back_to_back_arrivals_fill_batches(
         n in 1usize..300,
         max_batch in 1usize..16,
+        service_ns in 0u64..100_000,
     ) {
-        // Back-to-back arrivals (gap 0) with a generous deadline: every
-        // batch except possibly the last must be exactly max_batch.
-        let policy = BatchPolicy { max_batch, deadline_ns: u64::MAX / 2 };
+        // Gap 0: every request is queued before the first flush, so every
+        // batch except possibly the last is exactly max_batch.
         let gaps = vec![0u64; n];
-        let (responses, batch_sizes) = simulate(&policy, &gaps);
+        let (responses, batch_sizes) = simulate(max_batch, service_ns, &gaps);
         prop_assert_eq!(responses.len(), n);
         for (i, &b) in batch_sizes.iter().enumerate() {
             if i + 1 < batch_sizes.len() {
@@ -79,24 +89,19 @@ proptest! {
     }
 
     #[test]
-    fn sparse_arrivals_flush_alone_at_their_deadline(
+    fn spaced_arrivals_flush_alone_one_service_time_after_submit(
         n in 1usize..50,
-        deadline_ns in 1u64..10_000,
+        service_ns in 1u64..10_000,
+        slack in 0u64..10_000,
     ) {
-        // Gaps far beyond the deadline: every request flushes as a batch
-        // of one, exactly deadline_ns after submission.
-        let policy = BatchPolicy { max_batch: 64, deadline_ns };
-        let gaps = vec![deadline_ns.saturating_mul(3).max(1); n];
-        let (responses, batch_sizes) = simulate(&policy, &gaps);
+        // Arrivals at least one service time apart always find the batcher
+        // idle: each flushes alone, one service time after its submit.
+        let gaps = vec![service_ns + slack; n];
+        let (responses, batch_sizes) = simulate(64, service_ns, &gaps);
         prop_assert_eq!(responses.len(), n);
-        for (i, &b) in batch_sizes.iter().enumerate() {
-            // The final request flushes in the shutdown drain instead.
-            if i + 1 < batch_sizes.len() {
-                prop_assert_eq!(b, 1);
-            }
-        }
-        for r in responses.iter().take(n - 1) {
-            prop_assert_eq!(r.done_ns, policy.deadline_for(r.submit_ns));
+        prop_assert!(batch_sizes.iter().all(|&b| b == 1));
+        for r in &responses {
+            prop_assert_eq!(r.done_ns, r.submit_ns + service_ns);
         }
     }
 }
@@ -129,11 +134,10 @@ fn live_serve_delivers_every_request_in_order() {
     let opts = MicroBatchOptions {
         queue_slots: 8,
         max_batch: 8,
-        deadline_ns: u64::MAX / 2,
     };
     const N: usize = 100;
     let mut got = Vec::new();
-    serve(
+    let stats = serve(
         &mut scorer,
         &clock,
         &opts,
@@ -151,6 +155,9 @@ fn live_serve_delivers_every_request_in_order() {
         |resp| got.push(resp),
     );
     assert_eq!(got.len(), N);
+    assert_eq!(stats.rows, N as u64);
+    assert_eq!(stats.nan_rows, 0);
+    assert!(stats.flushes >= (N / opts.max_batch) as u64);
     for (k, r) in got.iter().enumerate() {
         assert_eq!(r.id, k as u64, "response order broken at {k}");
         assert!(r.prob.is_finite() && r.prob > 0.0 && r.prob < 1.0);
@@ -164,7 +171,9 @@ fn live_serve_delivers_every_request_in_order() {
         let row = k % bundle.data.len();
         batch.begin(bundle.data.num_fields, bundle.data.num_pairs);
         batch.push_row(bundle.data.row_fields(row), bundle.data.row_cross(row), 0.0);
-        scorer.score_into(&batch, &mut probs);
+        scorer
+            .score_into(&batch, &mut probs)
+            .expect("dataset rows score");
         assert_eq!(
             probs[0].to_bits(),
             r.prob.to_bits(),
@@ -174,15 +183,74 @@ fn live_serve_delivers_every_request_in_order() {
 }
 
 #[test]
+fn a_backlog_flushes_as_one_full_batch() {
+    // The batcher is stalled in `on_response` for over a millisecond while
+    // the client queues a full batch behind it. Those requests are all late
+    // by then; the next flush must still take max_batch of them at once
+    // instead of flushing the oldest alone.
+    let (mut scorer, bundle) = tiny_scorer();
+    let clock = MonotonicClock::new();
+    const MAX: usize = 8;
+    let opts = MicroBatchOptions {
+        queue_slots: MAX,
+        max_batch: MAX,
+    };
+    let stalled = AtomicBool::new(false);
+    let queued = AtomicBool::new(false);
+    let mut got = Vec::new();
+    let stats = serve(
+        &mut scorer,
+        &clock,
+        &opts,
+        |mut submitter| {
+            let (f, c) = (bundle.data.row_fields(0), bundle.data.row_cross(0));
+            assert!(submitter.submit(0, f, c));
+            while !stalled.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            for k in 1..=MAX as u64 {
+                assert!(submitter.submit(k, f, c));
+            }
+            queued.store(true, Ordering::Release);
+        },
+        |resp| {
+            if resp.id == 0 {
+                let from = clock.now_ns();
+                stalled.store(true, Ordering::Release);
+                while !queued.load(Ordering::Acquire) || clock.now_ns() - from < 1_000_000 {
+                    std::thread::yield_now();
+                }
+            }
+            got.push(resp);
+        },
+    );
+    assert_eq!(got.len(), MAX + 1);
+    let backlog = &got[1..];
+    assert!(
+        backlog.iter().all(|r| r.done_ns == backlog[0].done_ns),
+        "the queued backlog was split across flushes: {:?}",
+        backlog.iter().map(|r| r.done_ns).collect::<Vec<_>>()
+    );
+    assert_eq!(
+        stats,
+        ServeStats {
+            flushes: 2,
+            rows: MAX as u64 + 1,
+            full_flushes: 1,
+            nan_rows: 0,
+        }
+    );
+}
+
+#[test]
 fn dropping_the_submitter_drains_in_flight_requests() {
     let (mut scorer, bundle) = tiny_scorer();
     let clock = ManualClock::new();
-    // max_batch and deadline both unreachable: only the shutdown drain
-    // can flush these.
+    // max_batch unreachable: every flush is partial, and the last ones
+    // race the submitter's drop.
     let opts = MicroBatchOptions {
         queue_slots: 16,
         max_batch: 1_000,
-        deadline_ns: u64::MAX / 2,
     };
     let mut got = Vec::new();
     serve(

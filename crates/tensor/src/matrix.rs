@@ -658,6 +658,13 @@ impl Matrix {
         self.cols = cols;
     }
 
+    /// Grows the backing storage to hold at least `len` elements without
+    /// changing shape or contents, so a later [`reset`](Self::reset) to
+    /// any shape of at most `len` elements does not touch the heap.
+    pub fn reserve_total(&mut self, len: usize) {
+        self.data.reserve(len.saturating_sub(self.data.len()));
+    }
+
     /// Makes `self` an element-for-element copy of `src` (shape included),
     /// reusing the existing allocation when possible.
     pub fn copy_from(&mut self, src: &Matrix) {

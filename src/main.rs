@@ -84,7 +84,7 @@ USAGE:
                     [--backend scalar|avx2fma]
   optinter serve    --profile <name> [--rows N] [--seed S]
                     --load-artifact model.osa [--threads N] [--requests N]
-                    [--zipf S] [--max-batch N] [--deadline-us U]
+                    [--zipf S] [--max-batch N]
                     [--backend scalar|avx2fma]
 
 PROFILES: criteo_like, avazu_like, ipinyou_like, private_like, tiny";
@@ -373,7 +373,6 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
     let threads = parse_usize("threads", 1)?;
     let requests = parse_usize("requests", 50_000)?;
     let max_batch = parse_usize("max-batch", 32)?;
-    let deadline_us = parse_usize("deadline-us", 200)?;
     let zipf_s = match opts.get("zipf") {
         None => 1.05,
         Some(s) => s.parse().map_err(|_| format!("bad --zipf `{s}`"))?,
@@ -384,7 +383,6 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
     let mb = MicroBatchOptions {
         queue_slots: 2 * max_batch.max(1),
         max_batch,
-        deadline_ns: deadline_us as u64 * 1_000,
     };
     let spec = LoadSpec {
         requests,
@@ -394,7 +392,7 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
     };
     eprintln!(
         "serving {requests} Zipf(s={zipf_s}) requests, {threads} thread(s), \
-         max batch {max_batch}, deadline {deadline_us}us, {} kernels \
+         max batch {max_batch}, {} kernels \
          (artifact frozen with {})...",
         scorer.backend().name(),
         scorer.frozen_backend().name()
@@ -408,6 +406,15 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
         s.p99_ns / 1_000.0,
         s.p999_ns / 1_000.0,
         s.rows_per_sec
+    );
+    let st = report.stats;
+    let flushes = st.flushes.max(1) as f64;
+    println!(
+        "front door: {} flushes, mean batch {:.2}, {:.1}% full, {} NaN rows",
+        st.flushes,
+        st.rows as f64 / flushes,
+        100.0 * st.full_flushes as f64 / flushes,
+        st.nan_rows
     );
     Ok(())
 }

@@ -17,10 +17,13 @@ use optinter_core::net::DataDims;
 use optinter_core::{Architecture, FactFn, Method, OptInterConfig, OptInterNet, Supernet};
 use optinter_data::{Batch, BatchStream, DatasetBundle, Profile};
 use optinter_models::{BaselineConfig, CtrModel, Lr};
-use optinter_nn::{EmbedOptimizerMode, StoreKind};
+use optinter_nn::{EmbedOptimizerMode, Mlp, MlpConfig, StoreKind};
 use optinter_serve::{freeze, serve, FrozenScorer, ManualClock, MicroBatchOptions, Quant};
+use optinter_tensor::Matrix;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Number of heap acquisitions (alloc + realloc) since process start.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -268,17 +271,15 @@ fn steady_state_training_performs_zero_heap_allocations() {
     );
     drop(fresh_probs);
 
-    // Micro-batching front door: ManualClock never advances, so batches
-    // flush purely on max_batch; request buffers, the pending queue and
-    // the gather batch all reach steady-state size within the first few
-    // full buffer cycles.
+    // Micro-batching front door, saturated: batch compositions depend on
+    // thread timing, which must not matter because `serve` sizes every
+    // buffer for `max_batch` rows before the first request.
     const REQUESTS: usize = 512;
     const SERVE_WARMUP: usize = 64;
     let clock = ManualClock::new();
     let opts = MicroBatchOptions {
         queue_slots: 8,
         max_batch: 8,
-        deadline_ns: u64::MAX / 2,
     };
     let mut serve_marks: Vec<u64> = Vec::with_capacity(REQUESTS + 1);
     serve(
@@ -309,5 +310,106 @@ fn steady_state_training_performs_zero_heap_allocations() {
              allocation(s) at steady state",
             pair[1] - pair[0]
         );
+    }
+
+    // Micro-batching front door, largest batch last: the client submits
+    // in lock-step (one request, then wait for its answer), so every
+    // warm-up flush holds a single request and grows nothing past one
+    // row. The last lock-step answer then holds the batcher until the
+    // client has queued `max_batch` more, so the first full batch forms
+    // inside the measured window. Only the up-front sizing keeps it off
+    // the heap (a fresh scorer, so no earlier run has grown its scratch).
+    let mut scorer = FrozenScorer::new(&frozen, 2).expect("frozen model loads");
+    const LOCKSTEP: usize = 32;
+    const MAX_BATCH: usize = 8;
+    let opts = MicroBatchOptions {
+        queue_slots: MAX_BATCH,
+        max_batch: MAX_BATCH,
+    };
+    let answered = AtomicUsize::new(0);
+    let queued = AtomicBool::new(false);
+    let mut marks: Vec<u64> = Vec::with_capacity(LOCKSTEP + MAX_BATCH);
+    let stats = serve(
+        &mut scorer,
+        &clock,
+        &opts,
+        |mut submitter| {
+            let row = |k: usize| (bundle.data.row_fields(k), bundle.data.row_cross(k));
+            for k in 0..LOCKSTEP {
+                let (f, c) = row(k);
+                assert!(submitter.submit(k as u64, f, c));
+                while answered.load(Ordering::Acquire) <= k {
+                    std::thread::yield_now();
+                }
+            }
+            for k in LOCKSTEP..LOCKSTEP + MAX_BATCH {
+                let (f, c) = row(k);
+                assert!(submitter.submit(k as u64, f, c));
+            }
+            queued.store(true, Ordering::Release);
+        },
+        |resp| {
+            assert!(resp.prob.is_finite());
+            marks.push(ALLOCS.load(Ordering::Relaxed));
+            answered.fetch_add(1, Ordering::Release);
+            if resp.id as usize == LOCKSTEP - 1 {
+                while !queued.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            }
+        },
+    );
+    assert_eq!(
+        marks.len(),
+        LOCKSTEP + MAX_BATCH,
+        "micro-batcher lost responses"
+    );
+    assert_eq!(
+        (stats.flushes, stats.full_flushes),
+        (LOCKSTEP as u64 + 1, 1),
+        "expected {LOCKSTEP} single flushes and then one full one"
+    );
+    for (k, pair) in marks.windows(2).enumerate() {
+        assert_eq!(
+            pair[1] - pair[0],
+            0,
+            "micro-batch front door: response {k} performed {} heap \
+             allocation(s) with batches growing from 1 to {MAX_BATCH} rows",
+            pair[1] - pair[0]
+        );
+    }
+
+    // The MLP half of that sizing: after `reserve_rows`, forwards of mixed
+    // batch sizes stay off the heap even though the workspace may hand the
+    // wide layer's buffer to the narrow one and back.
+    for layer_norm in [false, true] {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut mlp = Mlp::new(
+            &mut rng,
+            &MlpConfig {
+                input_dim: 12,
+                hidden: vec![64, 16],
+                output_dim: 1,
+                layer_norm,
+                ln_eps: 1e-5,
+            },
+        );
+        mlp.reserve_rows(8);
+        let inputs: Vec<Matrix> = [8, 1, 8, 3, 1, 8, 2]
+            .iter()
+            .map(|&b| Matrix::zeros(b, 12))
+            .collect();
+        let mut out = Matrix::zeros(0, 0);
+        out.reserve_total(8);
+        for x in &inputs {
+            let before = ALLOCS.load(Ordering::Relaxed);
+            mlp.forward_into(x, &mut out);
+            assert_eq!(
+                ALLOCS.load(Ordering::Relaxed) - before,
+                0,
+                "Mlp (layer_norm {layer_norm}): a {}-row forward allocated after reserve_rows(8)",
+                x.rows()
+            );
+        }
     }
 }

@@ -10,6 +10,7 @@ use optinter_nn::StoreKind;
 use optinter_serve::{
     freeze, serve, FrozenScorer, MicroBatchOptions, MonotonicClock, Quant, ScoreError,
 };
+use std::sync::atomic::{AtomicBool, Ordering};
 
 fn bundle() -> DatasetBundle {
     Profile::Tiny.bundle_with_rows(600, 5)
@@ -147,15 +148,18 @@ fn microbatch_degrades_to_nan_for_malformed_requests_only() {
     let mut scorer = scorer_for(&bundle, StoreKind::Dense, StoreKind::Dense);
     let vocab = scorer.dims().orig_vocab;
     let clock = MonotonicClock::new();
-    // One flush holds all three requests, so the malformed middle one
-    // forces the degraded per-request path for the whole batch.
+    // Request 0 flushes alone, and its response holds the batcher until
+    // the client has queued the next three: they share one flush, so the
+    // malformed middle one forces the degraded per-request path for the
+    // whole batch.
     let opts = MicroBatchOptions {
         queue_slots: 8,
         max_batch: 3,
-        deadline_ns: 50_000_000,
     };
+    let stalled = AtomicBool::new(false);
+    let queued = AtomicBool::new(false);
     let mut responses = Vec::new();
-    serve(
+    let stats = serve(
         &mut scorer,
         &clock,
         &opts,
@@ -163,19 +167,38 @@ fn microbatch_degrades_to_nan_for_malformed_requests_only() {
             let good = bundle.data.row_fields(1).to_vec();
             let mut bad = good.clone();
             bad[0] = vocab + 7;
-            assert!(submitter.submit(0, &good, bundle.data.row_cross(1)));
-            assert!(submitter.submit(1, &bad, bundle.data.row_cross(1)));
-            assert!(submitter.submit(2, &good, bundle.data.row_cross(1)));
+            let cross = bundle.data.row_cross(1);
+            assert!(submitter.submit(0, &good, cross));
+            while !stalled.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            assert!(submitter.submit(1, &good, cross));
+            assert!(submitter.submit(2, &bad, cross));
+            assert!(submitter.submit(3, &good, cross));
+            queued.store(true, Ordering::Release);
         },
-        |r| responses.push(r),
+        |r| {
+            if r.id == 0 {
+                stalled.store(true, Ordering::Release);
+                while !queued.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            }
+            responses.push(r);
+        },
     );
-    assert_eq!(responses.len(), 3);
+    assert_eq!(responses.len(), 4);
+    assert_eq!(stats.flushes, 2, "the three queued requests share a flush");
+    assert_eq!(stats.nan_rows, 1, "the front door counts the NaN answer");
     assert!(responses[0].prob.is_finite(), "valid request still scores");
-    assert!(responses[1].prob.is_nan(), "malformed request answers NaN");
-    assert!(responses[2].prob.is_finite(), "valid request still scores");
-    assert_eq!(
-        responses[0].prob.to_bits(),
-        responses[2].prob.to_bits(),
-        "identical requests score identically through the degraded path"
-    );
+    assert!(responses[1].prob.is_finite(), "valid request still scores");
+    assert!(responses[2].prob.is_nan(), "malformed request answers NaN");
+    assert!(responses[3].prob.is_finite(), "valid request still scores");
+    for r in [&responses[1], &responses[3]] {
+        assert_eq!(
+            responses[0].prob.to_bits(),
+            r.prob.to_bits(),
+            "identical requests score identically through the degraded path"
+        );
+    }
 }
