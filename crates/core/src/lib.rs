@@ -15,6 +15,10 @@
 //! - [`arch`] — [`arch::Method`] / [`arch::Architecture`]: one choice per pair;
 //! - [`gumbel`] — the Gumbel-softmax relaxation (Eqs. 16–18);
 //! - [`config`] — hyper-parameters (Table IV analogue);
+//! - [`interaction`] — the combination block, written once: the typed
+//!   factorization with its forward and backward row functions, and the
+//!   pair layout that assembles the MLP input for the re-train net and the
+//!   frozen scorer alike;
 //! - [`supernet`] — the search-stage model: all three candidates computed
 //!   per pair and mixed by relaxed architecture weights, trained jointly
 //!   with the architecture parameters `α` (Algorithm 1);
@@ -31,6 +35,7 @@
 pub mod arch;
 pub mod config;
 pub mod gumbel;
+pub mod interaction;
 pub mod net;
 pub mod persist;
 pub mod search;

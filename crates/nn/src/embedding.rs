@@ -61,8 +61,10 @@ pub enum EmbedOptimizerMode {
 }
 
 /// Work size (scalar copies / adds) below which the pooled embedding paths
-/// stay serial; the fallback never changes results.
-pub(crate) const POOL_MIN_WORK: usize = 16 * 1024;
+/// stay serial: under it a pool dispatch costs more than the copies. The
+/// fallback never changes results, and the frozen scorer's lookups use the
+/// same threshold.
+pub const POOL_MIN_WORK: usize = 16 * 1024;
 
 /// An embedding table of shape `[vocab, dim]` with sparse gradients.
 pub struct EmbeddingTable {
@@ -430,8 +432,7 @@ impl EmbeddingTable {
                 continue;
             }
             let inv = 1.0 / (end - start) as f32;
-            for k in start..end {
-                let idx = values[k];
+            for &idx in &values[start..end] {
                 self.touch(idx);
                 let i = idx as usize;
                 let acc = &mut self.grad_slab[i * dim..(i + 1) * dim];
