@@ -8,9 +8,12 @@
 //! instead: any refactor of the interaction block, the MLP or the
 //! optimizers that moves a single loss or probability bit fails it.
 //!
-//! The digests assume the scalar kernel backend (forced below) on
-//! x86_64 Linux: the AVX backend fuses multiply-adds, and `exp`/`ln` come
-//! from the platform's libm, so other targets legitimately differ.
+//! Each kernel backend has its own digests, both pinned on x86_64 Linux:
+//! the AVX backend fuses multiply-adds in its matmuls, so its bits differ
+//! from the scalar ones, and `exp`/`ln` come from the platform's libm, so
+//! other targets legitimately differ. The backend is process-global
+//! (`kernels::set_active`), so one test runs the scalar pass and then the
+//! avx2fma pass; a host without AVX2+FMA skips the second with a note.
 
 #![cfg(all(target_arch = "x86_64", target_os = "linux"))]
 
@@ -20,7 +23,7 @@ use optinter_data::{BatchIter, Profile};
 use optinter_serve::{freeze, FrozenScorer, Quant};
 use optinter_tensor::kernels::{self, Backend};
 
-/// `(fact_fn, supernet digest, net + scorer digest)`.
+/// `(fact_fn, supernet digest, net + scorer digest)`, scalar backend.
 const PINNED: [(FactFn, u64, u64); 3] = [
     (
         FactFn::Hadamard,
@@ -36,6 +39,25 @@ const PINNED: [(FactFn, u64, u64); 3] = [
         FactFn::Generalized,
         0x6219_6f58_3e77_a3b9,
         0x559d_d652_2c53_0f1b,
+    ),
+];
+
+/// The same digests on the avx2fma backend (the default on AVX2+FMA hosts).
+const PINNED_AVX2FMA: [(FactFn, u64, u64); 3] = [
+    (
+        FactFn::Hadamard,
+        0xf253_851b_22ee_7a45,
+        0x7834_0b02_fd45_2f95,
+    ),
+    (
+        FactFn::PointwiseAdd,
+        0xaf20_22cb_f57a_c394,
+        0x3d4d_fe1f_b42e_f77c,
+    ),
+    (
+        FactFn::Generalized,
+        0x08bd_c80a_0075_0131,
+        0x01cc_edf0_5ddb_d322,
     ),
 ];
 
@@ -64,16 +86,17 @@ fn config(fact_fn: FactFn) -> OptInterConfig {
     }
 }
 
-#[test]
-fn search_retrain_and_serve_bits_match_the_pinned_digests() {
-    kernels::set_active(Backend::Scalar);
+/// Runs search, re-train and serving for every `(model, factorization)` of
+/// `pinned` on `backend` and asserts each digest.
+fn check_digests(backend: Backend, pinned: &[(FactFn, u64, u64); 3]) {
+    kernels::set_active(backend);
     let bundle = Profile::Tiny.bundle_with_rows(1_500, 29);
     let dims = DataDims::of(&bundle.data);
     let held_out = BatchIter::new(&bundle.data, 1_000..1_300, 300, None)
         .next()
         .expect("held-out batch");
     let mut got = Vec::new();
-    for (fact_fn, _, _) in PINNED {
+    for &(fact_fn, _, _) in pinned {
         // Search stage: one epoch with Gumbel noise on, then the noiseless
         // relaxation on the held-out rows.
         let mut supernet = Supernet::new(config(fact_fn), dims.clone());
@@ -108,12 +131,23 @@ fn search_retrain_and_serve_bits_match_the_pinned_digests() {
         }
         got.push((fact_fn, search.0, retrain.0));
     }
-    for ((fact_fn, want_search, want_net), (_, search, net)) in PINNED.iter().zip(&got) {
+    for ((fact_fn, want_search, want_net), (_, search, net)) in pinned.iter().zip(&got) {
         assert_eq!(
             (search, net),
             (want_search, want_net),
-            "{}: digests moved; all: {got:#x?}",
-            fact_fn.tag()
+            "{} on {}: digests moved; all: {got:#x?}",
+            fact_fn.tag(),
+            backend.name()
         );
+    }
+}
+
+#[test]
+fn search_retrain_and_serve_bits_match_the_pinned_digests() {
+    check_digests(Backend::Scalar, &PINNED);
+    if Backend::AvxFma.is_supported() {
+        check_digests(Backend::AvxFma, &PINNED_AVX2FMA);
+    } else {
+        println!("avx2fma digests skipped: this host has no AVX2+FMA");
     }
 }
