@@ -490,7 +490,7 @@ impl EmbeddingTable {
             return;
         }
         self.ensure_moments();
-        let (bc1, bc2) = adam.bias_corrections();
+        let bc = adam.bias_corrections();
         let dim = self.dim();
         let mut touched = std::mem::take(&mut self.touched);
         touched.sort_unstable();
@@ -504,8 +504,7 @@ impl EmbeddingTable {
                     m.row_mut(i),
                     v.row_mut(i),
                     weight_decay,
-                    bc1,
-                    bc2,
+                    bc,
                 );
                 grad.fill(0.0);
                 self.touched_flags[i] = false;
@@ -523,7 +522,7 @@ impl EmbeddingTable {
         }
         self.ensure_arena();
         self.ensure_moments();
-        let (bc1, bc2) = adam.bias_corrections();
+        let bc = adam.bias_corrections();
         let dim = self.dim();
         if let (Some(m), Some(v)) = (self.m.as_mut(), self.v.as_mut()) {
             for i in 0..self.weight.rows() {
@@ -534,8 +533,7 @@ impl EmbeddingTable {
                     m.row_mut(i),
                     v.row_mut(i),
                     weight_decay,
-                    bc1,
-                    bc2,
+                    bc,
                 );
             }
         }
@@ -558,7 +556,7 @@ impl EmbeddingTable {
         self.ensure_moments();
         self.ensure_last_step();
         let t = adam.timestep().max(1);
-        let (bc1, bc2) = adam.bias_corrections();
+        let bc = adam.bias_corrections();
         let dim = self.dim();
         let mut touched = std::mem::take(&mut self.touched);
         touched.sort_unstable();
@@ -567,14 +565,13 @@ impl EmbeddingTable {
                 let i = idx as usize;
                 let mut s = u64::from(self.last_step[i]) + 1;
                 while s < t {
-                    let (cb1, cb2) = adam.bias_corrections_at(s);
+                    let cb = adam.bias_corrections_at(s);
                     adam.step_row_zero_grad(
                         self.weight.row_mut(i),
                         m.row_mut(i),
                         v.row_mut(i),
                         weight_decay,
-                        cb1,
-                        cb2,
+                        cb,
                     );
                     s += 1;
                 }
@@ -585,8 +582,7 @@ impl EmbeddingTable {
                     m.row_mut(i),
                     v.row_mut(i),
                     weight_decay,
-                    bc1,
-                    bc2,
+                    bc,
                 );
                 grad.fill(0.0);
                 self.touched_flags[i] = false;
@@ -616,14 +612,13 @@ impl EmbeddingTable {
             for i in 0..self.weight.rows() {
                 let mut s = u64::from(self.last_step[i]) + 1;
                 while s <= t {
-                    let (cb1, cb2) = adam.bias_corrections_at(s);
+                    let cb = adam.bias_corrections_at(s);
                     adam.step_row_zero_grad(
                         self.weight.row_mut(i),
                         m.row_mut(i),
                         v.row_mut(i),
                         weight_decay,
-                        cb1,
-                        cb2,
+                        cb,
                     );
                     s += 1;
                 }
